@@ -345,8 +345,7 @@ func (s *server) handleRecommendUser(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no session for user %d (POST /consume first)", req.User))
 		return
 	}
-	items, _ := win.Snapshot()
-	rctx := &rec.Context{User: req.User, Window: win, History: items, Omega: omega}
+	rctx := &rec.Context{User: req.User, Window: win, Omega: omega}
 	resp := s.score(r.Context(), eng, rctx, n)
 	if !resp.Degraded {
 		// Degraded answers come from the fallback scorer; caching one

@@ -102,7 +102,7 @@ func TestPartitionChaosIsolatedFailover(t *testing.T) {
 	}
 	for i := 0; i < P; i++ {
 		waitFor(t, fmt.Sprintf("standby %d caught up pre-kill", i), func() bool {
-			return replStatusOf(stands[i]).CaughtUp
+			return replStatusOf(stands[i]).CaughtUp && shippedAll(prims[i], stands[i])
 		})
 	}
 

@@ -121,7 +121,7 @@ func TestRouterFailoverZeroAckedWriteLoss(t *testing.T) {
 	for _, ev := range preKill {
 		consumeViaRouter(t, h, ev)
 	}
-	waitFor(t, "standby caught up pre-kill", func() bool { return replStatusOf(srvB).CaughtUp })
+	waitFor(t, "standby caught up pre-kill", func() bool { return replStatusOf(srvB).CaughtUp && shippedAll(srvA, srvB) })
 
 	// Kill the primary: listener closed, pool abandoned un-closed.
 	tsA.Close()

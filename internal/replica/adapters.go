@@ -11,6 +11,8 @@ func (s PoolSource) Shards() int { return s.Pool.N() }
 
 func (s PoolSource) NextLSN(i int) (uint64, error) { return s.Pool.Shard(i).NextLSN() }
 
+func (s PoolSource) Appended(i int) <-chan struct{} { return s.Pool.Shard(i).Appended() }
+
 func (s PoolSource) Read(i int, from uint64, max int, fn func(lsn uint64, payload []byte) error) (uint64, error) {
 	return s.Pool.Shard(i).ReadWAL(from, max, fn)
 }

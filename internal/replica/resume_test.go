@@ -132,8 +132,9 @@ func TestReplicaTailerResumesFromPersistedLSN(t *testing.T) {
 // shards are mid-restart.
 type failingSource struct{}
 
-func (failingSource) Shards() int                 { return 1 }
-func (failingSource) NextLSN(int) (uint64, error) { return 0, errors.New("shard restarting") }
+func (failingSource) Shards() int                  { return 1 }
+func (failingSource) NextLSN(int) (uint64, error)  { return 0, errors.New("shard restarting") }
+func (failingSource) Appended(int) <-chan struct{} { return nil }
 func (failingSource) Snapshot(int) (string, uint64, error) {
 	return "", 0, errors.New("shard restarting")
 }

@@ -42,6 +42,10 @@ type Source interface {
 	Shards() int
 	// NextLSN returns shard's commit horizon.
 	NextLSN(shard int) (uint64, error)
+	// Appended returns a channel closed by shard's next committed
+	// append. The stream handler takes it before NextLSN, so a record
+	// committed in between still wakes the long-poll.
+	Appended(shard int) <-chan struct{}
 	// Read delivers up to max committed records with LSN ≥ from and
 	// returns the resume position. wal.ErrPruned → the follower must
 	// reseed from a snapshot.
@@ -238,21 +242,29 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Long-poll: wait for the commit horizon to pass `from`.
-	deadline := time.Now().Add(s.wait())
+	// Long-poll: sleep until a commit moves the horizon past `from`, the
+	// follower goes away, or Wait elapses. A log swap (restart, truncate,
+	// reseed) signals nothing; its waiters return at the deadline.
+	deadline := time.NewTimer(s.wait())
+	defer deadline.Stop()
 	var next uint64
+poll:
 	for {
+		appended := s.Source.Appended(shard)
 		next, err = s.Source.NextLSN(shard)
 		if err != nil {
 			writeUnavailable(w, ErrorBody{Error: err.Error(), Epoch: m.Epoch})
 			return
 		}
-		if next > from || time.Now().After(deadline) || r.Context().Err() != nil {
+		if next > from {
 			break
 		}
 		select {
+		case <-appended:
 		case <-r.Context().Done():
-		case <-time.After(10 * time.Millisecond):
+			break poll
+		case <-deadline.C:
+			break poll
 		}
 	}
 

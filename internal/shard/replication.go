@@ -33,6 +33,31 @@ func (s *Shard) NextLSN() (uint64, error) {
 	return s.log.NextLSN(), nil
 }
 
+// Appended returns a channel that the shard's next committed append —
+// local ingest or replicated apply — closes. Taken before NextLSN, it
+// lets a caught-up reader sleep until the horizon moves without missing
+// an append in between. The channel outlives log swaps (restart,
+// truncate, reseed) but none of them close it: a waiter falls back on
+// its own deadline.
+func (s *Shard) Appended() <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.appended == nil {
+		s.appended = make(chan struct{})
+	}
+	return s.appended
+}
+
+// signalAppendedLocked wakes every Appended waiter. The channel is only
+// replaced once someone asks for it again, so appends with no waiter
+// allocate nothing.
+func (s *Shard) signalAppendedLocked() {
+	if s.appended != nil {
+		close(s.appended)
+		s.appended = nil
+	}
+}
+
 // ReadWAL delivers up to max committed records with LSN ≥ from to fn
 // and returns the resume position — the primary side of the shipping
 // stream. The file I/O runs outside the shard lock, so streaming never
@@ -111,6 +136,7 @@ func (s *Shard) ApplyReplicated(lsn uint64, payload []byte) (applied bool, err e
 		return false, s.unavailableLocked()
 	}
 	s.failStreak = 0
+	s.signalAppendedLocked()
 	s.store.Apply(lsn, user, item)
 	if s.cfg.SnapshotEvery > 0 {
 		s.sinceSnapshot++

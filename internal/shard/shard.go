@@ -125,8 +125,9 @@ type Shard struct {
 	sinceSnapshot int
 	snapshots     int64
 	snapshotErrs  int64
-	failStreak    int       // consecutive append failures; breaker input
-	retryAt       time.Time // when the supervisor's next restart attempt fires
+	failStreak    int           // consecutive append failures; breaker input
+	appended      chan struct{} // closed by the next committed append; nil until someone waits
+	retryAt       time.Time     // when the supervisor's next restart attempt fires
 	restarts      int64
 	trips         int64
 	lastErr       error
@@ -181,6 +182,7 @@ func (s *Shard) Ingest(user int, item seq.Item) (lsn uint64, winLen int, err err
 		return 0, 0, s.appendFailedLocked(aerr)
 	}
 	s.failStreak = 0
+	s.signalAppendedLocked()
 	s.store.Apply(lsn, user, item)
 	winLen = s.store.WindowLen(user)
 	if s.cfg.SnapshotEvery > 0 {
