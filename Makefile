@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race fuzz fuzz-smoke bench obs-race metrics-smoke shard-chaos replica-chaos replica-smoke router-chaos partition-chaos
+.PHONY: check build fmt vet test race fuzz fuzz-smoke bench loadbench-check obs-race metrics-smoke shard-chaos replica-chaos replica-smoke router-chaos partition-chaos
 
 ## check: everything CI should gate on — formatting, vet, race-enabled tests
 ## (obs-race first: the metric hot paths are the newest concurrency surface,
@@ -10,8 +10,9 @@ GO ?= go
 ## live traffic through rrc-router and lose nothing,
 ## partition-chaos last: P replicated pairs behind key routing — one
 ## pair's primary killed must not cost the other partitions a single
-## error), and the fuzz targets over their seed corpora
-check: fmt vet obs-race shard-chaos replica-chaos router-chaos partition-chaos race fuzz-smoke
+## error), the fuzz targets over their seed corpora, and the benchmark
+## harness's own module
+check: fmt vet obs-race shard-chaos replica-chaos router-chaos partition-chaos race fuzz-smoke loadbench-check
 
 build:
 	$(GO) build ./...
@@ -85,12 +86,19 @@ metrics-smoke:
 fuzz-smoke:
 	$(GO) test ./internal/core ./internal/dataset ./internal/wal -run '^Fuzz' -count=1
 
-## bench: regenerate BENCH_PR10.json — fixed-seed scoring throughput of
-## the engine (plain, float32-quantized, response-cached) vs the
-## pre-refactor per-call path (ns/op, allocs/op, items/sec); the label
-## is derived from -out, never hard-coded
+## loadbench-check: vet and test the benchmark harness (loadbench/, its
+## own module importing tsppr internals through replace), which the root
+## ./... patterns never compile — a change to an internal API it uses
+## fails here, not at benchmark time
+loadbench-check:
+	cd loadbench && $(GO) vet ./... && $(GO) test -count=1 ./...
+
+## bench: write BENCH_PR13.json — fixed-seed scoring throughput of the
+## engine (single, batch, response-cached hit and miss) at the paper's
+## |W|=100, Ω=10, K=40 (ns/op, allocs/op, items/sec); the label is
+## derived from -out, never hard-coded
 bench:
-	$(GO) run ./cmd/rrc-bench -out BENCH_PR10.json
+	$(GO) run ./cmd/rrc-bench -out BENCH_PR13.json
 
 ## fuzz: short bounded fuzzing with mutation — model loader and TSV readers
 fuzz:

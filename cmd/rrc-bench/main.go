@@ -1,30 +1,25 @@
-// Command rrc-bench measures the scoring engine's serving throughput
-// against the pre-refactor per-call scoring path on a fixed-seed workload,
-// and writes the results as JSON (BENCH_PR10.json by default).
+// Command rrc-bench measures the scoring engine's serving throughput on a
+// fixed-seed workload at the paper's default shape (|W|=100, Ω=10, K=40)
+// and writes the results as JSON (BENCH_PR13.json by default).
 //
 // The benchmarks run over the same trained model and the same pool of
 // full-window recommendation contexts:
 //
-//   - single/engine       one Top-10 engine.Recommend per op
-//   - single/quantized    the same through the float32-quantized tables
-//   - single/prerefactor  one request through the old serving path: mint a
-//     scorer, rank with a K×F matrix-vector product per candidate, then
-//     re-score every returned item (the old /recommend double-scoring)
-//   - cached/hit          one /recommend/user-shaped read answered by the
+//   - single/engine  one Top-10 engine.Recommend per op
+//   - cached/hit     one /recommend/user-shaped read answered by the
 //     LSN-keyed response cache (probe + copy, no scoring)
-//   - cached/miss         the same read falling through the cache: stale-LSN
+//   - cached/miss    the same read falling through the cache: stale-LSN
 //     probe, engine.Recommend, in-place refill
-//   - batch/engine        a 64-request batch through the engine with the
+//   - batch/engine   a 64-request batch through the engine with the
 //     server's bounded parallel fan-out
-//   - batch/prerefactor   the same 64 requests through the old sequential
-//     batch loop
 //
 // "items/sec" is candidate-scoring throughput: the number of candidate
 // items whose preference was (or, for a cache hit, did not have to be)
 // evaluated per wall-clock second. Seeds are fixed; runs are reproducible
-// up to scheduler noise.
+// up to scheduler noise. Earlier reports (BENCH_PR4/6/10.json) are the
+// baseline a new run is read against.
 //
-//	rrc-bench -out BENCH_PR10.json
+//	rrc-bench -out BENCH_PR13.json
 package main
 
 import (
@@ -42,41 +37,33 @@ import (
 	"tsppr/internal/datagen"
 	"tsppr/internal/engine"
 	"tsppr/internal/features"
-	"tsppr/internal/linalg"
 	"tsppr/internal/rec"
 	"tsppr/internal/rescache"
 	"tsppr/internal/sampling"
 	"tsppr/internal/seq"
-	"tsppr/internal/topk"
 )
 
 const (
 	benchSeed      = 7
 	benchUsers     = 48
-	benchWindowCap = 20
-	benchOmega     = 3
+	benchWindowCap = 100
+	benchOmega     = 10
 	benchTopN      = 10
 	benchBatch     = 64
 )
 
 func main() {
-	out := flag.String("out", "BENCH_PR10.json", "path to write the JSON report to")
-	label := flag.String("label", "", "benchmark label recorded in the report; default derived from -out")
+	out := flag.String("out", "BENCH_PR13.json", "path to write the JSON report to")
 	flag.Parse()
-	if *label == "" {
-		// Derived, not hard-coded: an earlier revision pinned the label to
-		// the PR that introduced it, so BENCH_PR6.json self-described as
-		// PR4 output.
-		*label = deriveLabel(*out)
-	}
-	if err := run(*out, *label); err != nil {
+	if err := run(*out); err != nil {
 		fmt.Fprintln(os.Stderr, "rrc-bench:", err)
 		os.Exit(1)
 	}
 }
 
 // deriveLabel names a report after its output file: the basename without
-// the extension, e.g. BENCH_PR10.json → "BENCH_PR10 scoring benchmarks".
+// the extension, e.g. BENCH_PR13.json → "BENCH_PR13 scoring benchmarks".
+// Derived, never hard-coded, so a report always names the file it is in.
 func deriveLabel(outPath string) string {
 	base := filepath.Base(outPath)
 	return strings.TrimSuffix(base, filepath.Ext(base)) + " scoring benchmarks"
@@ -104,24 +91,19 @@ type report struct {
 	} `json:"workload"`
 	Results map[string]result `json:"results"`
 	Speedup struct {
-		SingleItemsPerSec float64 `json:"single_items_per_sec"`
-		BatchItemsPerSec  float64 `json:"batch_items_per_sec"`
-		QuantizedVsEngine float64 `json:"quantized_vs_engine"`
 		CachedHitVsEngine float64 `json:"cached_hit_vs_engine"`
 	} `json:"speedup"`
 }
 
-func run(outPath, label string) error {
+func run(outPath string) error {
 	model, contexts, err := buildWorkload()
 	if err != nil {
 		return err
 	}
 	eng := engine.New(model)
-	qeng := engine.New(model)
-	qeng.SetQuantized(true)
 
 	// Candidate counts are a property of the contexts, not the scorer:
-	// both paths evaluate the same candidate sets.
+	// every case evaluates the same candidate sets.
 	perCtx := make([]int, len(contexts))
 	totalCands := 0
 	for i, ctx := range contexts {
@@ -135,7 +117,7 @@ func run(outPath, label string) error {
 	meanCands := totalCands / len(contexts)
 
 	rep := report{
-		Benchmark:  label,
+		Benchmark:  deriveLabel(outPath),
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Seed:       benchSeed,
@@ -166,19 +148,6 @@ func run(outPath, label string) error {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			dst = eng.Recommend(contexts[i%len(contexts)], benchTopN, dst[:0])
-		}
-	})
-	measure("single/quantized", meanCands, func(b *testing.B) {
-		var dst []rec.Scored
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst = qeng.Recommend(contexts[i%len(contexts)], benchTopN, dst[:0])
-		}
-	})
-	measure("single/prerefactor", meanCands, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			legacyServe(model, contexts[i%len(contexts)], benchTopN)
 		}
 	})
 
@@ -249,22 +218,9 @@ func run(outPath, label string) error {
 			engineBatch(eng, contexts, benchBatch, benchTopN)
 		}
 	})
-	measure("batch/prerefactor", batchCands, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < benchBatch; j++ {
-				legacyServe(model, contexts[j%len(contexts)], benchTopN)
-			}
-		}
-	})
 
-	rep.Speedup.SingleItemsPerSec = rep.Results["single/engine"].ItemsPerSec / rep.Results["single/prerefactor"].ItemsPerSec
-	rep.Speedup.BatchItemsPerSec = rep.Results["batch/engine"].ItemsPerSec / rep.Results["batch/prerefactor"].ItemsPerSec
-	rep.Speedup.QuantizedVsEngine = rep.Results["single/quantized"].ItemsPerSec / rep.Results["single/engine"].ItemsPerSec
 	rep.Speedup.CachedHitVsEngine = rep.Results["cached/hit"].ItemsPerSec / rep.Results["single/engine"].ItemsPerSec
-	fmt.Printf("speedup: single %.2fx, batch %.2fx, quantized %.2fx, cached-hit %.2fx\n",
-		rep.Speedup.SingleItemsPerSec, rep.Speedup.BatchItemsPerSec,
-		rep.Speedup.QuantizedVsEngine, rep.Speedup.CachedHitVsEngine)
+	fmt.Printf("speedup: cached-hit %.2fx\n", rep.Speedup.CachedHitVsEngine)
 
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -294,7 +250,7 @@ func buildWorkload() (*core.Model, []*rec.Context, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	model, _, err := core.Train(set, len(train), numItems, ex, core.Config{K: 12, MaxSteps: 60_000, Seed: benchSeed})
+	model, _, err := core.Train(set, len(train), numItems, ex, core.Config{K: 40, MaxSteps: 60_000, Seed: benchSeed})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -343,80 +299,4 @@ func engineBatch(eng *engine.Engine, contexts []*rec.Context, batchN, topN int) 
 		}()
 	}
 	wg.Wait()
-}
-
-// ---------------------------------------------------------------------------
-// The pre-refactor scoring path, reproduced verbatim from the core.Scorer
-// this PR deleted (see git history of internal/core/model.go): a per-call
-// scorer whose dynamic term is a K×F matrix-vector product per candidate,
-// plus the old /recommend handler's re-scoring of every returned item.
-
-type legacyScorer struct {
-	m     *core.Model
-	f     linalg.Vector // F scratch: behavioural features
-	y     linalg.Vector // K scratch: A_u f
-	cands []seq.Item
-	sel   *topk.Selector
-}
-
-func newLegacyScorer(m *core.Model) *legacyScorer {
-	return &legacyScorer{m: m, f: linalg.NewVector(m.F), y: linalg.NewVector(m.K)}
-}
-
-func (s *legacyScorer) mapFor(u int) *linalg.Matrix {
-	switch s.m.MapType {
-	case core.PerUserMap:
-		return s.m.A[u]
-	case core.SharedMap:
-		return s.m.A[0]
-	default:
-		return nil
-	}
-}
-
-func (s *legacyScorer) score(u int, v seq.Item, w *seq.Window) float64 {
-	m := s.m
-	uvec := m.U.Row(u)
-	static := 0.0
-	if int(v) < m.V.Rows && v >= 0 {
-		static = linalg.Dot(uvec, m.V.Row(int(v)))
-	}
-	m.Extractor.Extract(s.f, v, w)
-	var dynamic float64
-	if a := s.mapFor(u); a != nil {
-		a.MulVec(s.y, s.f)
-		dynamic = linalg.Dot(uvec, s.y)
-	} else {
-		dynamic = linalg.Dot(uvec, s.f)
-	}
-	return static + dynamic
-}
-
-func (s *legacyScorer) recommend(ctx *rec.Context, n int) []seq.Item {
-	s.cands = ctx.Window.Candidates(ctx.Omega, s.cands[:0])
-	if len(s.cands) == 0 {
-		return nil
-	}
-	if s.sel == nil || s.sel.K() != n {
-		s.sel = topk.New(n)
-	} else {
-		s.sel.Reset()
-	}
-	for _, v := range s.cands {
-		s.sel.Push(v, s.score(ctx.User, v, ctx.Window))
-	}
-	return s.sel.Items(nil)
-}
-
-// legacyServe is one request through the old serving path: fresh scorer,
-// ranking pass, then a second scoring pass over the winners to fill the
-// response's Scores field.
-func legacyServe(m *core.Model, ctx *rec.Context, n int) ([]seq.Item, []float64) {
-	sc := newLegacyScorer(m)
-	items := sc.recommend(ctx, n)
-	scores := make([]float64, len(items))
-	for i, it := range items {
-		scores[i] = sc.score(ctx.User, it, ctx.Window)
-	}
-	return items, scores
 }

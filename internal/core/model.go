@@ -70,16 +70,6 @@ type Model struct {
 	// dot products instead of a K×F matrix-vector product per call. Nil
 	// until Precompute runs; nil (not serialized) in model files.
 	effW *linalg.Matrix
-
-	// effW32/v32 are float32 quantizations of the serving tables (w_u
-	// rows and V rows), built by Precompute for the engine's quantized
-	// scoring path: half the cache traffic per dot product at ~1e-7
-	// relative error per element. Under IdentityMap effW32 quantizes U
-	// rows directly (w_u = u). Derived, never serialized; the float64
-	// tables remain the master copy and online updates re-quantize the
-	// touched rows.
-	effW32 *linalg.Matrix32
-	v32    *linalg.Matrix32
 }
 
 // Validate checks that the model is fit to serve: consistent shapes and
@@ -143,8 +133,6 @@ func (m *Model) NumItems() int { return m.V.Rows }
 func (m *Model) Precompute() {
 	if m.MapType == IdentityMap {
 		m.effW = nil
-		m.effW32 = linalg.Quantize(m.U)
-		m.v32 = linalg.Quantize(m.V)
 		return
 	}
 	eff := linalg.NewMatrix(m.U.Rows, m.F)
@@ -152,8 +140,6 @@ func (m *Model) Precompute() {
 		m.foldUser(eff.Row(u), u)
 	}
 	m.effW = eff
-	m.effW32 = linalg.Quantize(eff)
-	m.v32 = linalg.Quantize(m.V)
 }
 
 // foldUser writes w_u = A_uᵀu into dst (length F). The summation order
@@ -176,31 +162,10 @@ func (m *Model) foldUser(dst linalg.Vector, u int) {
 // parameter update (the online updater's SGD steps). A no-op before
 // Precompute has run or under IdentityMap.
 func (m *Model) refreshUser(u int) {
-	if u < 0 || u >= m.U.Rows {
+	if m.effW == nil || u < 0 || u >= m.effW.Rows {
 		return
 	}
-	if m.effW != nil && u < m.effW.Rows {
-		m.foldUser(m.effW.Row(u), u)
-		if m.effW32 != nil && u < m.effW32.Rows {
-			m.effW32.QuantizeRow(u, m.effW.Row(u))
-		}
-		return
-	}
-	// IdentityMap: w_u is the U row itself — only the quantized shadow
-	// needs refreshing.
-	if m.MapType == IdentityMap && m.effW32 != nil && u < m.effW32.Rows {
-		m.effW32.QuantizeRow(u, m.U.Row(u))
-	}
-}
-
-// refreshItem re-quantizes one item's factor row after an in-place
-// parameter update (the online updater's V-row SGD steps). A no-op
-// before Precompute has run.
-func (m *Model) refreshItem(v int) {
-	if m.v32 == nil || v < 0 || v >= m.v32.Rows {
-		return
-	}
-	m.v32.QuantizeRow(v, m.V.Row(v))
+	m.foldUser(m.effW.Row(u), u)
 }
 
 // EffectiveFeatureWeights returns w_u = A_uᵀu, the model's personalized
@@ -227,33 +192,6 @@ func (m *Model) EffectiveFeatureWeights(u int) linalg.Vector {
 		m.Precompute()
 	}
 	return m.effW.Row(u)
-}
-
-// EffectiveFeatureWeights32 returns the float32 quantization of w_u for
-// the engine's mixed-precision scoring path. Same sharing and
-// read-only contract as EffectiveFeatureWeights; built by Precompute
-// (on first use if needed), so steady-state calls allocate nothing.
-func (m *Model) EffectiveFeatureWeights32(u int) []float32 {
-	if u < 0 || u >= m.U.Rows {
-		panic(fmt.Sprintf("core: EffectiveFeatureWeights32 user %d out of range [0,%d)", u, m.U.Rows))
-	}
-	if m.effW32 == nil {
-		m.Precompute()
-	}
-	return m.effW32.Row(u)
-}
-
-// ItemFactors32 returns the float32 quantization of item v's latent
-// factor row. Same sharing and read-only contract as V.Row; built by
-// Precompute (on first use if needed).
-func (m *Model) ItemFactors32(v int) []float32 {
-	if v < 0 || v >= m.V.Rows {
-		panic(fmt.Sprintf("core: ItemFactors32 item %d out of range [0,%d)", v, m.V.Rows))
-	}
-	if m.v32 == nil {
-		m.Precompute()
-	}
-	return m.v32.Row(v)
 }
 
 // mapFor returns the observable→latent map of user u, or nil under

@@ -141,12 +141,7 @@ func (ou *OnlineUpdater) Observe(user int, w *seq.Window, pos seq.Item, omega in
 	}
 	// The steps mutated u and A_u in place; re-fold this user's cached
 	// effective feature weights so scoring stays consistent with the
-	// updated parameters. The steps also nudged the positive's and the
-	// selected negatives' V rows, so their quantized shadows must follow.
+	// updated parameters.
 	ou.m.refreshUser(user)
-	ou.m.refreshItem(int(pos))
-	for _, neg := range ou.cands[:steps] {
-		ou.m.refreshItem(int(neg))
-	}
 	return steps
 }

@@ -26,7 +26,6 @@ package engine
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tsppr/internal/core"
@@ -44,14 +43,6 @@ import (
 type Engine struct {
 	m    *core.Model
 	pool sync.Pool // *scratch
-
-	// quant selects the mixed-precision scoring path: dot products
-	// against the model's float32-quantized w_u and V tables (half the
-	// cache traffic, |Δscore| bounded by the ~1e-7 relative storage
-	// quantization). Runtime-switchable so a deployment can flip it
-	// without a rebuild; loaded once per Recommend/Score call so a
-	// concurrent flip never splits one ranking across precisions.
-	quant atomic.Bool
 
 	// Optional instrumentation, set by Instrument. Nil handles record
 	// nothing; the only hot-path cost when instrumented is two
@@ -96,16 +87,6 @@ func New(m *core.Model) *Engine {
 // Model returns the engine's underlying model.
 func (e *Engine) Model() *core.Model { return e.m }
 
-// SetQuantized switches scoring between the float64 tables (default)
-// and the float32-quantized tables. Safe to flip concurrently with
-// scoring: each Recommend/Score call reads the switch once, so every
-// individual ranking is evaluated entirely in one precision.
-func (e *Engine) SetQuantized(on bool) { e.quant.Store(on) }
-
-// Quantized reports whether the engine scores against the quantized
-// tables.
-func (e *Engine) Quantized() bool { return e.quant.Load() }
-
 // Instrument registers the engine's hot-path metrics on reg and starts
 // recording into them. A nil registry leaves the engine uninstrumented
 // (recording stays a no-op). Metric names are stable across engine
@@ -141,12 +122,7 @@ func (e *Engine) Score(u int, v seq.Item, w *seq.Window) float64 {
 		panic(fmt.Sprintf("engine: Score user %d out of range [0,%d)", u, e.m.U.Rows))
 	}
 	s := e.pool.Get().(*scratch)
-	var r float64
-	if e.quant.Load() {
-		r = e.scoreOne32(s.f, e.m.U.Row(u), e.m.EffectiveFeatureWeights32(u), v, w)
-	} else {
-		r = e.scoreOne(s.f, e.m.U.Row(u), e.m.EffectiveFeatureWeights(u), v, w)
-	}
+	r := e.scoreOne(s.f, e.m.U.Row(u), e.m.EffectiveFeatureWeights(u), v, w)
 	e.putScratch(s)
 	return r
 }
@@ -161,19 +137,6 @@ func (e *Engine) scoreOne(f linalg.Vector, uvec, wu linalg.Vector, v seq.Item, w
 	}
 	e.m.Extractor.Extract(f, v, w)
 	return static + linalg.Dot(wu, f)
-}
-
-// scoreOne32 is scoreOne against the float32-quantized tables: uᵀv and
-// w_uᵀf become mixed-precision dot products (float64 accumulate over
-// float32 storage), so the only deviation from scoreOne is the ~1e-7
-// relative quantization of each stored element.
-func (e *Engine) scoreOne32(f linalg.Vector, uvec linalg.Vector, wu32 []float32, v seq.Item, w *seq.Window) float64 {
-	static := 0.0
-	if v >= 0 && int(v) < e.m.V.Rows {
-		static = linalg.DotF32(uvec, e.m.ItemFactors32(int(v)))
-	}
-	e.m.Extractor.Extract(f, v, w)
-	return static + linalg.DotF32(f, wu32)
 }
 
 // Recommend appends the Top-N RRC recommendations to dst as (item, score)
@@ -218,16 +181,9 @@ func (e *Engine) Recommend(ctx *rec.Context, n int, dst []rec.Scored) []rec.Scor
 		s.sel.Reset()
 	}
 	uvec := m.U.Row(u)
-	if e.quant.Load() {
-		wu32 := m.EffectiveFeatureWeights32(u)
-		for _, v := range s.cands {
-			s.sel.Push(v, e.scoreOne32(s.f, uvec, wu32, v, ctx.Window))
-		}
-	} else {
-		wu := m.EffectiveFeatureWeights(u)
-		for _, v := range s.cands {
-			s.sel.Push(v, e.scoreOne(s.f, uvec, wu, v, ctx.Window))
-		}
+	wu := m.EffectiveFeatureWeights(u)
+	for _, v := range s.cands {
+		s.sel.Push(v, e.scoreOne(s.f, uvec, wu, v, ctx.Window))
 	}
 	dst = s.sel.AppendSorted(dst)
 	e.putScratch(s)

@@ -19,14 +19,16 @@ const (
 	fixtureItems     = 30
 	fixtureWindowCap = 20
 	fixtureOmega     = 3
+	fixtureK         = 6
 )
 
-// fixture builds a model with random (but seeded, finite) parameters over
-// a synthetic repeat-heavy corpus. Parameters are drawn directly rather
-// than trained: scoring equivalence and the Recommend contract depend only
-// on the model's shape, and skipping SGD keeps the full
-// mask × recency × map-kind sweep fast.
-func fixture(t testing.TB, rng *rand.Rand, mask features.Mask, rk features.RecencyKind, mt core.MapKind) (*core.Model, []seq.Sequence) {
+// fixture builds a model with k latent factors and random (but seeded,
+// finite) parameters over a synthetic repeat-heavy corpus. Parameters are
+// drawn directly rather than trained: scoring equivalence and the
+// Recommend contract depend only on the model's shape, and skipping SGD
+// keeps the full mask × recency × map-kind × K sweep fast. IdentityMap
+// ignores k: it requires K == F.
+func fixture(t testing.TB, rng *rand.Rand, mask features.Mask, rk features.RecencyKind, mt core.MapKind, k int) (*core.Model, []seq.Sequence) {
 	t.Helper()
 	seqs := make([]seq.Sequence, fixtureUsers)
 	for u := range seqs {
@@ -46,9 +48,8 @@ func fixture(t testing.TB, rng *rand.Rand, mask features.Mask, rk features.Recen
 	}
 	ex := b.Build(mask, rk)
 	f := ex.Dim()
-	k := 6
 	if mt == core.IdentityMap {
-		k = f // identity map requires K == F
+		k = f
 	}
 	m := &core.Model{
 		K: k, F: f, MapType: mt,
@@ -140,46 +141,53 @@ func refRecommend(m *core.Model, u int, w *seq.Window, omega, n int) []rec.Score
 }
 
 // TestGoldenEquivalence sweeps every feature mask, both recency variants,
-// and all three map kinds, and checks that the engine's scores and
-// rankings are bit-identical to the pre-refactor per-call path for every
-// user and candidate.
+// all three map kinds, and two latent widths — the small fixture K=6 and
+// the paper's K=40 (suffix /k40) — and checks that the engine's scores
+// and rankings are bit-identical to the pre-refactor per-call path for
+// every user and candidate.
 func TestGoldenEquivalence(t *testing.T) {
 	kinds := []core.MapKind{core.PerUserMap, core.SharedMap, core.IdentityMap}
 	recencies := []features.RecencyKind{features.Hyperbolic, features.Exponential}
-	for mask := features.Mask(1); mask <= features.AllFeatures; mask++ {
-		for _, rk := range recencies {
-			for _, mt := range kinds {
-				mask, rk, mt := mask, rk, mt
-				t.Run(fmt.Sprintf("mask%02d/%s/%s", mask, rk, mt), func(t *testing.T) {
-					rng := rand.New(rand.NewSource(int64(mask)<<8 | int64(rk)<<4 | int64(mt)))
-					m, seqs := fixture(t, rng, mask, rk, mt)
-					eng := engine.New(m)
-					f := linalg.NewVector(m.F)
-					for u, s := range seqs {
-						w := windowFor(s)
-						// Per-item scores, including an out-of-universe item.
-						cands := w.Candidates(fixtureOmega, nil)
-						for _, v := range append(cands, seq.Item(fixtureItems+5)) {
-							want := refScore(m, u, v, w, f)
-							if got := eng.Score(u, v, w); got != want {
-								t.Fatalf("user %d item %d: engine %.17g != reference %.17g", u, v, got, want)
+	widths := []struct {
+		k      int
+		suffix string
+	}{{fixtureK, ""}, {40, "/k40"}}
+	for _, width := range widths {
+		for mask := features.Mask(1); mask <= features.AllFeatures; mask++ {
+			for _, rk := range recencies {
+				for _, mt := range kinds {
+					k, mask, rk, mt := width.k, mask, rk, mt
+					t.Run(fmt.Sprintf("mask%02d/%s/%s%s", mask, rk, mt, width.suffix), func(t *testing.T) {
+						rng := rand.New(rand.NewSource(int64(mask)<<8 | int64(rk)<<4 | int64(mt)))
+						m, seqs := fixture(t, rng, mask, rk, mt, k)
+						eng := engine.New(m)
+						f := linalg.NewVector(m.F)
+						for u, s := range seqs {
+							w := windowFor(s)
+							// Per-item scores, including an out-of-universe item.
+							cands := w.Candidates(fixtureOmega, nil)
+							for _, v := range append(cands, seq.Item(fixtureItems+5)) {
+								want := refScore(m, u, v, w, f)
+								if got := eng.Score(u, v, w); got != want {
+									t.Fatalf("user %d item %d: engine %.17g != reference %.17g", u, v, got, want)
+								}
 							}
-						}
-						// Full rankings at several cutoffs, scores included.
-						for _, n := range []int{1, 3, 10, len(cands) + 7} {
-							want := refRecommend(m, u, w, fixtureOmega, n)
-							got := eng.Recommend(&rec.Context{User: u, Window: w, Omega: fixtureOmega}, n, nil)
-							if len(got) != len(want) {
-								t.Fatalf("user %d n=%d: %d results, want %d", u, n, len(got), len(want))
-							}
-							for i := range got {
-								if got[i] != want[i] {
-									t.Fatalf("user %d n=%d rank %d: engine %v != reference %v", u, n, i, got[i], want[i])
+							// Full rankings at several cutoffs, scores included.
+							for _, n := range []int{1, 3, 10, len(cands) + 7} {
+								want := refRecommend(m, u, w, fixtureOmega, n)
+								got := eng.Recommend(&rec.Context{User: u, Window: w, Omega: fixtureOmega}, n, nil)
+								if len(got) != len(want) {
+									t.Fatalf("user %d n=%d: %d results, want %d", u, n, len(got), len(want))
+								}
+								for i := range got {
+									if got[i] != want[i] {
+										t.Fatalf("user %d n=%d rank %d: engine %v != reference %v", u, n, i, got[i], want[i])
+									}
 								}
 							}
 						}
-					}
-				})
+					})
+				}
 			}
 		}
 	}
@@ -187,7 +195,7 @@ func TestGoldenEquivalence(t *testing.T) {
 
 func defaultFixture(t testing.TB) (*core.Model, []seq.Sequence, *engine.Engine) {
 	rng := rand.New(rand.NewSource(42))
-	m, seqs := fixture(t, rng, features.AllFeatures, features.Hyperbolic, core.PerUserMap)
+	m, seqs := fixture(t, rng, features.AllFeatures, features.Hyperbolic, core.PerUserMap, fixtureK)
 	return m, seqs, engine.New(m)
 }
 

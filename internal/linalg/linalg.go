@@ -48,41 +48,6 @@ func Dot(x, y Vector) float64 {
 	return s
 }
 
-// DotF32 returns the mixed-precision inner product xᵀy where y is a
-// float32-quantized vector: each y element is widened to float64 before
-// the multiply, so the only precision loss is y's storage quantization
-// (~1e-7 relative per element). Same single-accumulator ascending-order
-// contract as Dot. It panics on dimension mismatch.
-func DotF32(x Vector, y []float32) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: DotF32 dimension mismatch %d vs %d", len(x), len(y)))
-	}
-	s := 0.0
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		x4, y4 := x[i:i+4:i+4], y[i:i+4:i+4]
-		s += x4[0] * float64(y4[0])
-		s += x4[1] * float64(y4[1])
-		s += x4[2] * float64(y4[2])
-		s += x4[3] * float64(y4[3])
-	}
-	for ; i < len(x); i++ {
-		s += x[i] * float64(y[i])
-	}
-	return s
-}
-
-// QuantizeVec stores the float32 quantization of src into dst. It
-// panics on length mismatch.
-func QuantizeVec(dst []float32, src Vector) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("linalg: QuantizeVec dimension mismatch %d vs %d", len(dst), len(src)))
-	}
-	for i, v := range src {
-		dst[i] = float32(v)
-	}
-}
-
 // Axpy performs y += a*x in place.
 func Axpy(a float64, x, y Vector) {
 	if len(x) != len(y) {
@@ -244,39 +209,6 @@ func FillGaussianVec(rng *rngutil.RNG, x Vector, stddev float64) {
 	for i := range x {
 		x[i] = rng.NormFloat64() * stddev
 	}
-}
-
-// Matrix32 is a dense row-major rows×cols float32 matrix: the storage
-// format for quantized serving tables (half the cache traffic of a
-// Matrix at ~1e-7 relative quantization error per element). It is a
-// derived, read-mostly structure — built by Quantize from a float64
-// master — so it carries only the accessors scoring needs.
-type Matrix32 struct {
-	Rows, Cols int
-	Data       []float32 // len == Rows*Cols
-}
-
-// NewMatrix32 returns a zero rows×cols float32 matrix.
-func NewMatrix32(rows, cols int) *Matrix32 {
-	if rows < 0 || cols < 0 {
-		panic("linalg: NewMatrix32 with negative dimension")
-	}
-	return &Matrix32{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
-}
-
-// Row returns row i as a slice sharing the matrix's storage.
-func (m *Matrix32) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// QuantizeRow stores the float32 quantization of src into row i.
-func (m *Matrix32) QuantizeRow(i int, src Vector) { QuantizeVec(m.Row(i), src) }
-
-// Quantize returns the float32 quantization of m.
-func Quantize(m *Matrix) *Matrix32 {
-	q := NewMatrix32(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		q.Data[i] = float32(v)
-	}
-	return q
 }
 
 // Equal reports whether a and b have the same shape and all elements agree

@@ -349,119 +349,3 @@ func TestDotBitIdenticalToNaive(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestDotF32(t *testing.T) {
-	x := Vector{1, 2, 3, 4, 5}
-	y := []float32{5, 4, 3, 2, 1}
-	if got := DotF32(x, y); got != 35 {
-		t.Errorf("DotF32 = %v, want 35", got)
-	}
-	if got := DotF32(Vector{}, []float32{}); got != 0 {
-		t.Errorf("empty DotF32 = %v", got)
-	}
-}
-
-// DotF32 against a float32-quantized copy must match the float64 Dot to
-// within y's storage quantization: ~2⁻²⁴ relative per element, summed.
-func TestDotF32QuantizationError(t *testing.T) {
-	rng := rngutil.New(11)
-	for n := 0; n <= 10; n++ {
-		x, y := NewVector(n), NewVector(n)
-		FillGaussianVec(rng, x, 1)
-		FillGaussianVec(rng, y, 1)
-		y32 := make([]float32, n)
-		QuantizeVec(y32, y)
-		got, want := DotF32(x, y32), Dot(x, y)
-		if math.Abs(got-want) > 1e-6*float64(n+1) {
-			t.Errorf("n=%d: DotF32 = %v, Dot = %v", n, got, want)
-		}
-	}
-}
-
-// With float32-representable inputs, DotF32 must be bit-identical to
-// Dot: widening is exact and the summation order contract is shared.
-func TestDotF32BitIdenticalOnExactInputs(t *testing.T) {
-	rng := rngutil.New(13)
-	for n := 0; n <= 10; n++ {
-		x, y := NewVector(n), NewVector(n)
-		FillGaussianVec(rng, x, 1)
-		FillGaussianVec(rng, y, 1)
-		y32 := make([]float32, n)
-		QuantizeVec(y32, y)
-		for i, v := range y32 {
-			y[i] = float64(v) // make the float64 master exactly representable
-		}
-		got, want := DotF32(x, y32), Dot(x, y)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("n=%d: DotF32 = %x, Dot = %x", n, got, want)
-		}
-	}
-}
-
-func TestDotF32PanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	DotF32(Vector{1}, []float32{1, 2})
-}
-
-func TestQuantizeVecPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	QuantizeVec(make([]float32, 2), Vector{1, 2, 3})
-}
-
-func TestQuantizeMatrix(t *testing.T) {
-	rng := rngutil.New(17)
-	m := NewMatrix(3, 4)
-	m.FillGaussian(rng, 1)
-	q := Quantize(m)
-	if q.Rows != 3 || q.Cols != 4 || len(q.Data) != 12 {
-		t.Fatalf("Quantize shape = %dx%d len %d", q.Rows, q.Cols, len(q.Data))
-	}
-	for i, v := range m.Data {
-		if q.Data[i] != float32(v) {
-			t.Fatalf("element %d: %v != float32(%v)", i, q.Data[i], v)
-		}
-	}
-	row := q.Row(1)
-	if len(row) != 4 || row[0] != float32(m.At(1, 0)) {
-		t.Fatalf("Row(1) = %v", row)
-	}
-	row[0] = 9
-	if q.Data[4] != 9 {
-		t.Fatal("Matrix32.Row must alias storage")
-	}
-	q.QuantizeRow(1, m.Row(1))
-	if q.Data[4] != float32(m.At(1, 0)) {
-		t.Fatal("QuantizeRow did not restore the row")
-	}
-}
-
-func TestNewMatrix32PanicsOnNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewMatrix32(2, -1)
-}
-
-func BenchmarkDotF32x40(b *testing.B) {
-	x := NewVector(40)
-	y := make([]float32, 40)
-	rng := rngutil.New(1)
-	FillGaussianVec(rng, x, 1)
-	tmp := NewVector(40)
-	FillGaussianVec(rng, tmp, 1)
-	QuantizeVec(y, tmp)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = DotF32(x, y)
-	}
-}
