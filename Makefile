@@ -100,8 +100,11 @@ loadbench-check:
 bench:
 	$(GO) run ./cmd/rrc-bench -out BENCH_PR13.json
 
-## fuzz: short bounded fuzzing with mutation — model loader and TSV readers
+## fuzz: short bounded fuzzing with mutation — model loader, TSV and
+## event readers, and the WAL frame decoder (bytes read back from disk)
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzReadModel -fuzztime 20s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz FuzzReadWith -fuzztime 20s
 	$(GO) test ./internal/dataset -run '^$$' -fuzz FuzzValidateReader -fuzztime 10s
+	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzReadEvents$$' -fuzztime 10s
+	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s

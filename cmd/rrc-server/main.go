@@ -686,8 +686,7 @@ func (s *server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.items.Add(int64(len(resp.Items)))
-	writeJSON(w, http.StatusOK, resp)
+	s.reply(w, len(resp.Items), resp)
 }
 
 // batchRequest is the POST /recommend/batch body.
@@ -741,7 +740,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			out.Responses[i] = batchEntry{Error: err.Error()}
 			return
 		}
-		s.items.Add(int64(len(resp.Items)))
 		out.Responses[i] = batchEntry{Items: resp.Items, Scores: resp.Scores, Degraded: resp.Degraded}
 	}
 	if batchParallelism <= 1 {
@@ -763,7 +761,11 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		wg.Wait()
 	}
-	writeJSON(w, http.StatusOK, out)
+	items := 0
+	for _, e := range out.Responses {
+		items += len(e.Items)
+	}
+	s.reply(w, items, out)
 }
 
 // maxHistoryLen caps the caller-shipped history of a single recommend
@@ -773,15 +775,19 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // no single request could.
 const maxHistoryLen = 1 << 17
 
-// clampNOmega applies the shared N defaulting/capping and Ω validation
-// used by every recommend path (stateless, batch, session-backed).
-func (s *server) clampNOmega(n int, omegaPtr *int) (int, int, error) {
+// validate checks the request fields every recommend endpoint shares
+// against m, the model of the request's one engine snapshot: the user is
+// in range, N is defaulted and capped at |W|, and Ω is in [0,|W|).
+// /recommend, each /recommend/batch entry and /recommend/user all go
+// through it, so their checks and messages cannot drift apart.
+func (s *server) validate(m *core.Model, user, n int, omegaPtr *int) (int, int, error) {
+	if user < 0 || user >= m.NumUsers() {
+		return 0, 0, fmt.Errorf("user %d out of range [0,%d)", user, m.NumUsers())
+	}
 	if n <= 0 {
 		n = 10
 	}
-	if n > s.opts.windowCap {
-		n = s.opts.windowCap
-	}
+	n = min(n, s.opts.windowCap)
 	omega := s.opts.defaultOmega
 	if omegaPtr != nil {
 		omega = *omegaPtr
@@ -792,20 +798,22 @@ func (s *server) clampNOmega(n int, omegaPtr *int) (int, int, error) {
 	return n, omega, nil
 }
 
-// recommend validates the request, then scores it with the primary TS-PPR
-// scorer under the request deadline, falling back to the recency/
-// popularity scorer when the primary panics or times out. Validation
-// errors are the caller's fault (400, or a 400-style batch entry);
-// scorer trouble never is — the request still gets an answer. Both
-// /recommend and every /recommend/batch entry go through this one
-// function, so the two paths cannot drift apart.
+// reply is the success path of every recommend endpoint: count the
+// items answered and write body as the 200 reply.
+func (s *server) reply(w http.ResponseWriter, items int, body any) {
+	s.items.Add(int64(items))
+	writeJSON(w, http.StatusOK, body)
+}
+
+// recommend validates a history-carrying request, replays the history
+// into a fresh window, and scores it. Validation errors are the caller's
+// fault (400, or a 400-style batch entry); scorer trouble never is — the
+// request still gets an answer. Both /recommend and every
+// /recommend/batch entry go through this one function.
 func (s *server) recommend(ctx context.Context, req recommendRequest) (*recommendResponse, error) {
 	eng := s.eng.Load()
 	m := eng.Model()
-	if req.User < 0 || req.User >= m.NumUsers() {
-		return nil, fmt.Errorf("user %d out of range [0,%d)", req.User, m.NumUsers())
-	}
-	n, omega, err := s.clampNOmega(req.N, req.Omega)
+	n, omega, err := s.validate(m, req.User, req.N, req.Omega)
 	if err != nil {
 		return nil, err
 	}
@@ -815,21 +823,20 @@ func (s *server) recommend(ctx context.Context, req recommendRequest) (*recommen
 	if len(req.History) > maxHistoryLen {
 		return nil, fmt.Errorf("history length %d over the %d cap", len(req.History), maxHistoryLen)
 	}
-	history := make(seq.Sequence, len(req.History))
 	win := seq.NewWindow(s.opts.windowCap)
 	for i, it := range req.History {
 		if it < 0 || it >= m.NumItems() {
 			return nil, fmt.Errorf("history[%d] = %d out of range [0,%d)", i, it, m.NumItems())
 		}
-		history[i] = seq.Item(it)
 		win.Push(seq.Item(it))
 	}
-	rctx := &rec.Context{User: req.User, Window: win, History: history, Omega: omega}
-	return s.score(ctx, eng, rctx, n), nil
+	return s.score(ctx, eng, &rec.Context{User: req.User, Window: win, Omega: omega}, n), nil
 }
 
 // score runs the primary-with-fallback orchestration over an assembled
-// recommendation context. It always produces an answer.
+// recommendation context under the request deadline, falling back to the
+// recency/popularity scorer when the primary panics or times out. It
+// always produces an answer.
 func (s *server) score(ctx context.Context, eng *engine.Engine, rctx *rec.Context, n int) *recommendResponse {
 	if s.shouldTryPrimary() {
 		resp, err := s.scorePrimary(ctx, eng, rctx, n)

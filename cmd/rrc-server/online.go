@@ -302,12 +302,7 @@ func (s *server) handleRecommendUser(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	eng := s.eng.Load()
-	m := eng.Model()
-	if req.User < 0 || req.User >= m.NumUsers() {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("user %d out of range [0,%d)", req.User, m.NumUsers()))
-		return
-	}
-	n, omega, err := s.clampNOmega(req.N, req.Omega)
+	n, omega, err := s.validate(eng.Model(), req.User, req.N, req.Omega)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -326,8 +321,7 @@ func (s *server) handleRecommendUser(w http.ResponseWriter, r *http.Request) {
 			// serialize as [] exactly like the uncached path's response,
 			// and appending zero elements to nil would leave nil → null.
 			if items, scores, hit := cache.Get(req.User, lsn, omega, n, []int{}, []float64{}); hit {
-				s.items.Add(int64(len(items)))
-				writeJSON(w, http.StatusOK, recommendResponse{Items: items, Scores: scores})
+				s.reply(w, len(items), recommendResponse{Items: items, Scores: scores})
 				return
 			}
 		}
@@ -352,8 +346,7 @@ func (s *server) handleRecommendUser(w http.ResponseWriter, r *http.Request) {
 		// would keep serving it after the primary recovers.
 		cache.Put(epoch, req.User, lsn, omega, n, resp.Items, resp.Scores)
 	}
-	s.items.Add(int64(len(resp.Items)))
-	writeJSON(w, http.StatusOK, resp)
+	s.reply(w, len(resp.Items), resp)
 }
 
 // drainResponse is the POST /admin/drain reply.

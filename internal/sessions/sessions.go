@@ -106,20 +106,6 @@ func (s *Store) touchLocked(user int) *entry {
 	return e
 }
 
-// WindowClone returns an independent copy of user's current window (a
-// read also counts as LRU use). The clone is safe to score against
-// without holding any lock.
-func (s *Store) WindowClone(user int) (*seq.Window, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.users[user]
-	if !ok {
-		return nil, false
-	}
-	s.lru.MoveToFront(e.elem)
-	return e.win.Clone(), true
-}
-
 // UserLSN returns the LSN of the last event applied to user's window.
 // It is the response cache's version probe: an entry cached under this
 // LSN is current. Deliberately does not touch LRU order — a probe that
@@ -135,11 +121,13 @@ func (s *Store) UserLSN(user int) (uint64, bool) {
 	return e.lsn, true
 }
 
-// WindowCloneLSN is WindowClone plus the window's applied LSN, captured
-// under the same lock hold. Callers that cache the scored result keyed
-// by LSN need the pair to be atomic: cloning and then asking for the
-// LSN separately could tag a pre-consume window with a post-consume
-// LSN, making a stale cache entry look current forever.
+// WindowCloneLSN returns an independent copy of user's current window
+// (a read also counts as LRU use) plus its applied LSN, captured under
+// the same lock hold. The clone is safe to score against without holding
+// any lock. Callers that cache the scored result keyed by LSN need the
+// pair to be atomic: cloning and then asking for the LSN separately
+// could tag a pre-consume window with a post-consume LSN, making a stale
+// cache entry look current forever.
 func (s *Store) WindowCloneLSN(user int) (*seq.Window, uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -152,7 +140,7 @@ func (s *Store) WindowCloneLSN(user int) (*seq.Window, uint64, bool) {
 }
 
 // WindowLen returns the current length of user's window (0 when the
-// user has no session). Unlike WindowClone it does not touch LRU order.
+// user has no session). Unlike WindowCloneLSN it does not touch LRU order.
 func (s *Store) WindowLen(user int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

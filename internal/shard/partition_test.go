@@ -156,8 +156,8 @@ func TestPoolPartitionIdentity(t *testing.T) {
 		t.Fatalf("Partition() = %+v, want %+v", got, cfg.Partition)
 	}
 	for u := 0; u < 100; u++ {
-		if p.OwnsUser(u) != (UserShard(u, 2) == 0) {
-			t.Fatalf("OwnsUser(%d) disagrees with UserShard", u)
+		if p.Partition().Owns(u) != (UserShard(u, 2) == 0) {
+			t.Fatalf("Partition().Owns(%d) disagrees with UserShard", u)
 		}
 	}
 	if err := p.Close(); err != nil {

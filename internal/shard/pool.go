@@ -158,7 +158,7 @@ func Open(root string, cfg Config) (*Pool, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l, store, rstats, err := openState(sh.dir, cfg)
+			l, store, rstats, err := openState(sh.dir, cfg, 0)
 			if err != nil {
 				errs[i] = fmt.Errorf("shard %d: %w", i, err)
 				sh.state = Failed
@@ -238,19 +238,9 @@ func (p *Pool) ShardFor(user int) int { return UserShard(user, len(p.shards)) }
 // Partition returns the pool's effective partition identity.
 func (p *Pool) Partition() PartitionID { return p.part }
 
-// OwnsUser reports whether this pool's partition owns user's keys.
-// False means the request was misrouted (or the fleet is misconfigured)
-// and must be refused with the owning-partition hint, never ingested.
-func (p *Pool) OwnsUser(user int) bool { return p.part.Owns(user) }
-
 // Ingest routes one consumption to its owning shard.
 func (p *Pool) Ingest(user int, item seq.Item) (lsn uint64, winLen int, err error) {
 	return p.shards[p.ShardFor(user)].Ingest(user, item)
-}
-
-// WindowClone routes a window read to its owning shard.
-func (p *Pool) WindowClone(user int) (*seq.Window, bool, error) {
-	return p.shards[p.ShardFor(user)].WindowClone(user)
 }
 
 // UserLSN routes a cache-version probe to its owning shard.

@@ -17,7 +17,6 @@ import (
 	"strings"
 	"time"
 
-	"tsppr/internal/faultinject"
 	"tsppr/internal/sessions"
 	"tsppr/internal/wal"
 )
@@ -103,49 +102,31 @@ func (s *Shard) ApplyReplicated(lsn uint64, payload []byte) (applied bool, err e
 	if err != nil {
 		return false, fmt.Errorf("shard %d: replicated lsn %d: %w", s.index, lsn, err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != Serving {
-		return false, s.unavailableLocked()
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			s.tripLocked(fmt.Errorf("shard %d: replicated apply panic: %v", s.index, p))
-			applied, err = false, s.unavailableLocked()
+	err = s.guard("replicated apply", func() error {
+		next := s.log.NextLSN()
+		if lsn < next {
+			return nil // already durable here; idempotent re-delivery
 		}
-	}()
-	next := s.log.NextLSN()
-	if lsn < next {
-		return false, nil // already durable here; idempotent re-delivery
-	}
-	if lsn > next {
-		return false, fmt.Errorf("shard %d: replicated lsn %d leaves a gap (local next %d)", s.index, lsn, next)
-	}
-	if ferr := faultinject.Do(s.point); ferr != nil {
-		return false, s.appendFailedLocked(ferr)
-	}
-	got, aerr := s.log.Append(payload)
-	if aerr != nil {
-		return false, s.appendFailedLocked(aerr)
-	}
-	if got != lsn {
-		// The log assigned a different LSN than the check above promised —
-		// unreachable unless the log was swapped mid-call, which the lock
-		// forbids. Trip loudly rather than diverge silently.
-		s.tripLocked(fmt.Errorf("shard %d: replicated lsn %d landed at %d", s.index, lsn, got))
-		return false, s.unavailableLocked()
-	}
-	s.failStreak = 0
-	s.signalAppendedLocked()
-	s.store.Apply(lsn, user, item)
-	if s.cfg.SnapshotEvery > 0 {
-		s.sinceSnapshot++
-		if s.sinceSnapshot >= s.cfg.SnapshotEvery {
-			s.sinceSnapshot = 0
-			s.snapshotLocked()
+		if lsn > next {
+			return fmt.Errorf("shard %d: replicated lsn %d leaves a gap (local next %d)", s.index, lsn, next)
 		}
-	}
-	return true, nil
+		got, aerr := s.appendLocked(payload)
+		if aerr != nil {
+			return aerr
+		}
+		if got != lsn {
+			// The log assigned a different LSN than the check above
+			// promised — unreachable unless the log was swapped mid-call,
+			// which the lock forbids. Trip loudly rather than diverge
+			// silently.
+			s.tripLocked(fmt.Errorf("shard %d: replicated lsn %d landed at %d", s.index, lsn, got))
+			return s.unavailableLocked()
+		}
+		s.commitLocked(lsn, user, item)
+		applied = true
+		return nil
+	})
+	return applied, err
 }
 
 // TruncateAndReload discards every local record with LSN ≥ lsn — the
@@ -209,7 +190,7 @@ func (s *Shard) TruncateAndReload(lsn uint64) error {
 		rstats sessions.RecoverStats
 	)
 	if err == nil {
-		l2, store, rstats, err = openState(s.dir, s.cfg)
+		l2, store, rstats, err = openState(s.dir, s.cfg, 0)
 	}
 
 	s.mu.Lock()
@@ -278,7 +259,7 @@ func (s *Shard) Reseed(snapLSN uint64, populate func(dir string) error) error {
 		rstats sessions.RecoverStats
 	)
 	if err == nil {
-		l2, store, rstats, err = openStateAt(s.dir, s.cfg, snapLSN+1)
+		l2, store, rstats, err = openState(s.dir, s.cfg, snapLSN+1)
 	}
 
 	s.mu.Lock()
@@ -333,34 +314,6 @@ func quarantineState(dir string) error {
 		}
 	}
 	return nil
-}
-
-// openStateAt is openState for a reseeded shard: an empty directory
-// opens its fresh log at initialLSN so the first shipped record lands
-// at the primary's exact LSN.
-func openStateAt(dir string, cfg Config, initialLSN uint64) (*wal.Log, *sessions.Store, sessions.RecoverStats, error) {
-	l, err := wal.Open(dir, wal.Options{
-		Sync:         cfg.Fsync,
-		SyncEvery:    cfg.FsyncInterval,
-		SegmentBytes: cfg.SegmentBytes,
-		Corrupt:      cfg.Corrupt,
-		Metrics:      cfg.Metrics,
-		InitialLSN:   initialLSN,
-	})
-	if err != nil {
-		return nil, nil, sessions.RecoverStats{}, err
-	}
-	store, rstats, err := sessions.Recover(dir, l, sessions.Config{
-		WindowCap: cfg.WindowCap,
-		MaxUsers:  cfg.MaxSessionsPerShard,
-		NumUsers:  cfg.NumUsers,
-		NumItems:  cfg.NumItems,
-	})
-	if err != nil {
-		l.Close()
-		return nil, nil, rstats, err
-	}
-	return l, store, rstats, nil
 }
 
 // CloseTimeout is Close bounded by a deadline: every shard drains in

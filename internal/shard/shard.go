@@ -151,6 +151,31 @@ func (s *Shard) State() State {
 	return s.state
 }
 
+// guard runs op as one fenced shard operation: under s.mu, only while
+// the shard is serving (anything else fast-fails with the shard's
+// UnavailableError, never blocking on recovery), and with a panic inside
+// op absorbed — it trips the breaker and surfaces as that same error.
+// what names the operation in the trip cause. Every op that serves
+// traffic (ingest, replicated apply, the window and LSN reads) goes
+// through here, so none carries its own recover. Callers assign their
+// results as op's last step, so a failed op leaves them zero.
+func (s *Shard) guard(what string, op func() error) (err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.state != Serving {
+		return s.unavailableLocked()
+	}
+	// Declared after the Lock/Unlock pair, so this recover runs with mu
+	// still held: tripping and re-reading state under the lock is safe.
+	defer func() {
+		if p := recover(); p != nil {
+			s.tripLocked(fmt.Errorf("shard %d: %s panic: %v", s.index, what, p))
+			err = s.unavailableLocked()
+		}
+	}()
+	return op()
+}
+
 // Ingest makes one consumption durable in this shard's WAL and applies
 // it to the user's window, returning the event's shard-local LSN and
 // the window's new length. A panic anywhere inside — including an
@@ -158,33 +183,41 @@ func (s *Shard) State() State {
 // UnavailableError; an append failure returns the storage error and
 // counts toward the breaker's failure streak.
 func (s *Shard) Ingest(user int, item seq.Item) (lsn uint64, winLen int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != Serving {
-		return 0, 0, s.unavailableLocked()
-	}
-	// Declared after the Lock/Unlock pair, so this recover runs with mu
-	// still held: tripping and re-reading state under the lock is safe.
-	defer func() {
-		if p := recover(); p != nil {
-			s.tripLocked(fmt.Errorf("shard %d: ingest panic: %v", s.index, p))
-			lsn, winLen = 0, 0
-			err = s.unavailableLocked()
+	err = s.guard("ingest", func() error {
+		got, aerr := s.appendLocked(sessions.EncodeEvent(user, item))
+		if aerr != nil {
+			return aerr
 		}
-	}()
-	// Chaos hook: Panic plans simulate a shard-local bug (absorbed
-	// above), Error plans a sticky storage failure (breaker fodder).
-	if ferr := faultinject.Do(s.point); ferr != nil {
-		return 0, 0, s.appendFailedLocked(ferr)
+		s.commitLocked(got, user, item)
+		lsn, winLen = got, s.store.WindowLen(user)
+		return nil
+	})
+	return lsn, winLen, err
+}
+
+// appendLocked appends one encoded event to the log through the shard's
+// fault point: Panic plans simulate a shard-local bug (absorbed by
+// guard), Error plans a sticky storage failure. Either failure counts
+// toward the breaker's streak.
+func (s *Shard) appendLocked(payload []byte) (uint64, error) {
+	if err := faultinject.Do(s.point); err != nil {
+		return 0, s.appendFailedLocked(err)
 	}
-	lsn, aerr := s.log.Append(sessions.EncodeEvent(user, item))
-	if aerr != nil {
-		return 0, 0, s.appendFailedLocked(aerr)
+	lsn, err := s.log.Append(payload)
+	if err != nil {
+		return 0, s.appendFailedLocked(err)
 	}
+	return lsn, nil
+}
+
+// commitLocked is the step after an event is durable in the log: the
+// append-failure streak resets, Appended waiters wake, the event reaches
+// the user's window, and every SnapshotEvery-th commit flushes a
+// snapshot. Local ingest and replicated apply share it.
+func (s *Shard) commitLocked(lsn uint64, user int, item seq.Item) {
 	s.failStreak = 0
 	s.signalAppendedLocked()
 	s.store.Apply(lsn, user, item)
-	winLen = s.store.WindowLen(user)
 	if s.cfg.SnapshotEvery > 0 {
 		s.sinceSnapshot++
 		if s.sinceSnapshot >= s.cfg.SnapshotEvery {
@@ -192,68 +225,30 @@ func (s *Shard) Ingest(user int, item seq.Item) (lsn uint64, winLen int, err err
 			s.snapshotLocked()
 		}
 	}
-	return lsn, winLen, nil
-}
-
-// WindowClone returns an independent copy of user's current window, or
-// ok=false when the user has no session here. Reads are fenced exactly
-// like appends: a non-serving shard fast-fails, and a panic in the read
-// path trips the breaker instead of escaping.
-func (s *Shard) WindowClone(user int) (win *seq.Window, ok bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != Serving {
-		return nil, false, s.unavailableLocked()
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			s.tripLocked(fmt.Errorf("shard %d: read panic: %v", s.index, p))
-			win, ok = nil, false
-			err = s.unavailableLocked()
-		}
-	}()
-	win, ok = s.store.WindowClone(user)
-	return win, ok, nil
 }
 
 // UserLSN returns the LSN of the last event applied to user's window —
 // the response cache's version probe. Fenced like every other op; read
 // panics trip the breaker.
 func (s *Shard) UserLSN(user int) (lsn uint64, ok bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != Serving {
-		return 0, false, s.unavailableLocked()
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			s.tripLocked(fmt.Errorf("shard %d: read panic: %v", s.index, p))
-			lsn, ok = 0, false
-			err = s.unavailableLocked()
-		}
-	}()
-	lsn, ok = s.store.UserLSN(user)
-	return lsn, ok, nil
+	err = s.guard("read", func() error {
+		lsn, ok = s.store.UserLSN(user)
+		return nil
+	})
+	return lsn, ok, err
 }
 
-// WindowCloneLSN is WindowClone plus the window's applied LSN, captured
-// atomically (see sessions.Store.WindowCloneLSN for why the pair must
-// not be read in two steps). Fenced like every other op.
+// WindowCloneLSN returns an independent copy of user's current window
+// plus its applied LSN, captured atomically (see
+// sessions.Store.WindowCloneLSN for why the pair must not be read in two
+// steps), or ok=false when the user has no session here. Fenced like
+// every other op; read panics trip the breaker.
 func (s *Shard) WindowCloneLSN(user int) (win *seq.Window, lsn uint64, ok bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != Serving {
-		return nil, 0, false, s.unavailableLocked()
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			s.tripLocked(fmt.Errorf("shard %d: read panic: %v", s.index, p))
-			win, lsn, ok = nil, 0, false
-			err = s.unavailableLocked()
-		}
-	}()
-	win, lsn, ok = s.store.WindowCloneLSN(user)
-	return win, lsn, ok, nil
+	err = s.guard("read", func() error {
+		win, lsn, ok = s.store.WindowCloneLSN(user)
+		return nil
+	})
+	return win, lsn, ok, err
 }
 
 // storeReloaded fires the pool's OnStoreReload hook (if configured)
@@ -342,7 +337,7 @@ func (s *Shard) supervise(gen int, old *wal.Log) {
 		s.mu.Unlock()
 
 		// Recovery I/O runs outside the lock so fenced ops stay fast.
-		l, store, rstats, err := openState(s.dir, s.cfg)
+		l, store, rstats, err := openState(s.dir, s.cfg, 0)
 
 		s.mu.Lock()
 		if s.gen != gen {
@@ -554,14 +549,17 @@ func (s *Shard) Dump() []sessions.UserWindow {
 
 // openState runs the snapshot+WAL recovery path for one shard
 // directory: open (and heal) the log, load the newest usable snapshot,
-// replay the tail.
-func openState(dir string, cfg Config) (*wal.Log, *sessions.Store, sessions.RecoverStats, error) {
+// replay the tail. initialLSN seeds an empty directory's first LSN
+// (0 → 1): a reseeded shard opens its fresh log at snapLSN+1 so the first
+// shipped record lands at the primary's exact LSN.
+func openState(dir string, cfg Config, initialLSN uint64) (*wal.Log, *sessions.Store, sessions.RecoverStats, error) {
 	l, err := wal.Open(dir, wal.Options{
 		Sync:         cfg.Fsync,
 		SyncEvery:    cfg.FsyncInterval,
 		SegmentBytes: cfg.SegmentBytes,
 		Corrupt:      cfg.Corrupt,
 		Metrics:      cfg.Metrics,
+		InitialLSN:   initialLSN,
 	})
 	if err != nil {
 		return nil, nil, sessions.RecoverStats{}, err

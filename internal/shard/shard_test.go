@@ -202,12 +202,46 @@ func TestDrainFencesOnlyThatShard(t *testing.T) {
 			if ue.Shard != victim || ue.RetryAfter < 5*time.Second {
 				t.Fatalf("user %d: %+v", u, ue)
 			}
-			if _, _, rerr := p.WindowClone(u); !errors.As(rerr, &ue) {
-				t.Fatalf("user %d read on drained shard: %v", u, rerr)
+			if _, _, rerr := p.UserLSN(u); !errors.As(rerr, &ue) {
+				t.Fatalf("user %d LSN probe on drained shard: %v", u, rerr)
+			}
+			if _, _, _, rerr := p.WindowCloneLSN(u); !errors.As(rerr, &ue) {
+				t.Fatalf("user %d window read on drained shard: %v", u, rerr)
 			}
 		} else if err != nil {
 			t.Fatalf("user %d on healthy shard: %v", u, err)
 		}
+	}
+}
+
+// TestGuardedReadsAddNoAllocs pins the cost of the shard's fencing on
+// the read path: the version probe allocates nothing, and the window
+// read allocates exactly what the store's clone under it does — the
+// lock, the state check, the deferred recover and the op closure add no
+// heap allocation.
+func TestGuardedReadsAddNoAllocs(t *testing.T) {
+	p, err := Open(t.TempDir(), testConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	seedEvents(t, p)
+	const u = 3
+	sh := p.Shard(p.ShardFor(u))
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok, err := sh.UserLSN(u); !ok || err != nil {
+			t.Fatalf("UserLSN: ok=%v err=%v", ok, err)
+		}
+	}); n != 0 {
+		t.Errorf("UserLSN allocates %.1f per call, want 0", n)
+	}
+	store := testing.AllocsPerRun(100, func() { sh.store.WindowCloneLSN(u) })
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, ok, err := sh.WindowCloneLSN(u); !ok || err != nil {
+			t.Fatalf("WindowCloneLSN: ok=%v err=%v", ok, err)
+		}
+	}); n != store {
+		t.Errorf("WindowCloneLSN allocates %.1f per call, the store clone under it %.1f", n, store)
 	}
 }
 
